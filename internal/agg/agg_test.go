@@ -303,7 +303,9 @@ func TestAggAuthAndRejects(t *testing.T) {
 // TestAggConcurrentStreams hammers one sharded engine from many device
 // connections under -race: every device owns a private stream and all of
 // them interleave submissions into one shared stream; each aggregate
-// still decrypts to the XOR of exactly its stream's samples.
+// still decrypts to the XOR of exactly its stream's samples. Each device
+// encrypts on its own Workspace: the scheme's one-shot methods are not
+// safe for concurrent use.
 func TestAggConcurrentStreams(t *testing.T) {
 	p := ringlwe.A1()
 	addr, _ := testServer(t, p, 4)
@@ -346,6 +348,7 @@ func TestAggConcurrentStreams(t *testing.T) {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
+			ws := scheme.NewWorkspace()
 			c, closeC := dial(t, addr, scheme)
 			defer closeC()
 			// Private stream: four samples, strict XOR checked below.
@@ -366,7 +369,7 @@ func TestAggConcurrentStreams(t *testing.T) {
 				for j := range want {
 					want[j] ^= msg[j]
 				}
-				ct, err := scheme.Encrypt(pk, msg)
+				ct, err := ws.Encrypt(pk, msg)
 				if err != nil {
 					errs <- err
 					return
@@ -381,7 +384,7 @@ func TestAggConcurrentStreams(t *testing.T) {
 			mu.Unlock()
 			// Shared stream: this device's contribution.
 			for i := 0; i < perDevice; i++ {
-				ct, err := scheme.Encrypt(pk, sharedMsgs[d])
+				ct, err := ws.Encrypt(pk, sharedMsgs[d])
 				if err != nil {
 					errs <- err
 					return

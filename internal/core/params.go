@@ -50,6 +50,9 @@ type Params struct {
 	SNum, SDen int64
 	// Sigma is the standard deviation of the error distribution.
 	Sigma float64
+	// Lambda is the statistical distance exponent the sampler's
+	// probability matrix was sized for.
+	Lambda int
 
 	Mod    *zq.Modulus
 	Tables *ntt.Tables
@@ -126,7 +129,7 @@ func newGaussParams(name string, n int, sNum, sDen int64, lambda int) (*Params, 
 	}
 	return &Params{
 		Name: name, N: n,
-		SNum: sNum, SDen: sDen, Sigma: sigma,
+		SNum: sNum, SDen: sDen, Sigma: sigma, Lambda: lambda,
 		Matrix: mat,
 		lut1:   lut1, lut2: lut2, maxFailD: maxD,
 		samplerCfg: &sampler.Config{Matrix: mat, LUT1: lut1, LUT2: lut2, MaxFailD: maxD},
@@ -162,14 +165,11 @@ func (p *Params) CoeffBits() uint {
 // for single-modulus sets, or the concatenation of the byte-aligned
 // per-channel residue rows for RNS sets.
 func (p *Params) PolyBytes() int {
-	if p.Basis != nil {
-		total := 0
-		for i := 0; i < p.Basis.K; i++ {
-			total += p.rowBytes(i)
-		}
-		return total
+	total := 0
+	for i := 0; i < p.K(); i++ {
+		total += p.rowBytes(i)
 	}
-	return (p.N*int(p.CoeffBits()) + 7) / 8
+	return total
 }
 
 // MessageBytes returns the plaintext size: one bit per ring coefficient.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math/big"
 
 	"ringlwe/internal/ntt"
@@ -37,13 +36,6 @@ func (p *Params) polyLen() int { return p.K() * p.N }
 
 // newPoly allocates a zero polynomial with this set's storage length.
 func (p *Params) newPoly() ntt.Poly { return make(ntt.Poly, p.polyLen()) }
-
-// rowBytes is the packed size of residue row i: N coefficients at channel
-// i's width, byte-aligned per row (N is a multiple of 8, so rows pack
-// exactly).
-func (p *Params) rowBytes(i int) int {
-	return (p.N*int(p.Basis.Mods[i].BitLen()) + 7) / 8
-}
 
 // NewRNSParams validates and precomputes a multi-modulus parameter set
 // over the given residue primes (each ≡ 1 mod 2n, composite ≤ rns.MaxQBits
@@ -299,115 +291,5 @@ func (s *Scheme) rnsEvalScalarMulInto(dst, a *Ciphertext, k uint32) error {
 		eng.ScalarMul(dst.C2[i*n:(i+1)*n], a.C2[i*n:(i+1)*n], kr)
 	}
 	dst.Addends = units
-	return nil
-}
-
-// Serialization: an RNS polynomial serializes as its residue rows in
-// channel order, row i packed at channel i's coefficient width and
-// byte-aligned, so every row is independently parseable and range-checked
-// — the self-describing per-residue-row layout the wire format carries.
-
-func appendPolysRNS(dst []byte, p *Params, polys ...ntt.Poly) []byte {
-	pb := p.PolyBytes()
-	dst, tail := growZero(dst, len(polys)*pb)
-	for pi, poly := range polys {
-		packPolyRNS(tail[pi*pb:(pi+1)*pb], p, poly)
-	}
-	return dst
-}
-
-func packPolyRNS(dst []byte, p *Params, poly ntt.Poly) {
-	off := 0
-	for i := 0; i < p.Basis.K; i++ {
-		rb := p.rowBytes(i)
-		packPoly(dst[off:off+rb], poly[i*p.N:(i+1)*p.N], p.Basis.Mods[i].BitLen())
-		off += rb
-	}
-}
-
-func unpackPolyRNSInto(dst ntt.Poly, p *Params, src []byte) {
-	off := 0
-	for i := 0; i < p.Basis.K; i++ {
-		rb := p.rowBytes(i)
-		unpackPolyInto(dst[i*p.N:(i+1)*p.N], src[off:off+rb], p.Basis.Mods[i].BitLen())
-		off += rb
-	}
-}
-
-// writePolysToRNS streams each polynomial row by row, every row at its
-// channel's width, through the shared chunk pool — the RNS branch of
-// writePolysTo (rows of 1024 coefficients chunk exactly like P2 bodies).
-func writePolysToRNS(w io.Writer, p *Params, polys ...ntt.Poly) (int64, error) {
-	buf := streamChunkPool.Get().(*[streamChunkBufSize]byte)
-	defer streamChunkPool.Put(buf)
-	var written int64
-	for _, poly := range polys {
-		for i := 0; i < p.Basis.K; i++ {
-			width := p.Basis.Mods[i].BitLen()
-			row := poly[i*p.N : (i+1)*p.N]
-			for off := 0; off < len(row); off += streamChunkCoeffs {
-				end := min(off+streamChunkCoeffs, len(row))
-				nb := (end - off) / 8 * int(width)
-				chunk := buf[:nb]
-				for j := range chunk {
-					chunk[j] = 0
-				}
-				packPoly(chunk, row[off:end], width)
-				n, err := w.Write(chunk)
-				written += int64(n)
-				if err != nil {
-					return written, err
-				}
-			}
-		}
-	}
-	return written, nil
-}
-
-// readPolysFromRNS is the row-wise streaming reader, range-checking each
-// polynomial's rows against their channel moduli once complete.
-func readPolysFromRNS(r io.Reader, p *Params, polys ...ntt.Poly) (int64, error) {
-	buf := streamChunkPool.Get().(*[streamChunkBufSize]byte)
-	defer streamChunkPool.Put(buf)
-	var read int64
-	for _, poly := range polys {
-		for i := 0; i < p.Basis.K; i++ {
-			width := p.Basis.Mods[i].BitLen()
-			row := poly[i*p.N : (i+1)*p.N]
-			for off := 0; off < len(row); off += streamChunkCoeffs {
-				end := min(off+streamChunkCoeffs, len(row))
-				nb := (end - off) / 8 * int(width)
-				n, err := io.ReadFull(r, buf[:nb])
-				read += int64(n)
-				if err != nil {
-					return read, err
-				}
-				unpackPolyInto(row[off:end], buf[:nb], width)
-			}
-		}
-		if err := checkRange(p, poly); err != nil {
-			return read, err
-		}
-	}
-	return read, nil
-}
-
-// checkRangeRNS enforces per-row canonicity: row i's coefficients must be
-// below qᵢ. Oversized residues would smuggle non-canonical values through
-// the CRT, so parsers reject them exactly as the single-modulus parsers
-// reject c ≥ q.
-func checkRangeRNS(p *Params, polys ...ntt.Poly) error {
-	b := p.Basis
-	for _, poly := range polys {
-		for i := 0; i < b.K; i++ {
-			qi := b.Moduli[i]
-			row := poly[i*p.N : (i+1)*p.N]
-			for j, c := range row {
-				if c >= qi {
-					return fmt.Errorf("residue row %d coefficient %d out of range: %d ≥ q%d", i, j, c, i+1)
-				}
-			}
-		}
-	}
 	return nil
 }

@@ -302,6 +302,30 @@ func TestB1ZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("RNS EvalAddInto allocates %v times per op, want 0", n)
 	}
+
+	// The codec: marshal, parse and append into a buffer with capacity.
+	blob := make([]byte, 1+2*p.PolyBytes())
+	if n := testing.AllocsPerRun(50, func() {
+		if err := ct.MarshalInto(blob); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("RNS MarshalInto allocates %v times per op, want 0", n)
+	}
+	parsed := NewCiphertext(p)
+	if n := testing.AllocsPerRun(50, func() {
+		if err := ParseCiphertextInto(parsed, blob); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("RNS ParseCiphertextInto allocates %v times per op, want 0", n)
+	}
+	body := make([]byte, 0, 2*p.PolyBytes())
+	if n := testing.AllocsPerRun(50, func() {
+		body = ct.AppendTo(body[:0])
+	}); n != 0 {
+		t.Fatalf("RNS AppendTo allocates %v times per op, want 0", n)
+	}
 }
 
 // TestB1ConcurrentSharedScheme shares one RNS scheme across 8 goroutines —

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"ringlwe/internal/ntt"
@@ -12,6 +14,15 @@ import (
 // for P2), little-endian within the bit stream, matching the paper's
 // observation that coefficients fit in half words. A one-byte header tags
 // the parameter set so mismatches fail loudly instead of decrypting noise.
+//
+// Every polynomial serializes as rows: one row of N coefficients at
+// CoeffBits for a single-modulus set, and for an RNS set its K residue
+// rows in channel order, row i at channel i's width. N is a multiple of 8,
+// so every row packs to whole bytes. One word-level packer/unpacker pair
+// moves each row through a 64-bit accumulator, a whole word per memory
+// access, and the unpacker checks c < q (qᵢ for row i) as it goes: the
+// one-shot, streaming and RNS paths all share it, and no parser makes a
+// separate range pass.
 
 // LegacyTag returns the one-byte parameter tag the legacy tagged format
 // (Bytes/Parse*) opens with: 1 for P1, 2 for P2, 0 for custom sets. The
@@ -54,67 +65,138 @@ func isB1Moduli(moduli []uint32) bool {
 	return true
 }
 
-// growZero extends dst by n zeroed bytes, returning the grown slice and the
-// tail to pack into. The append-style serializers build on it so one
-// AppendTo call performs at most one allocation (none when dst has
-// capacity) — the zero-copy seam the public encoding.BinaryAppender
-// implementations ride.
-func growZero(dst []byte, n int) (grown, tail []byte) {
-	total := len(dst) + n
-	if cap(dst) < total {
-		g := make([]byte, total)
-		copy(g, dst)
-		return g, g[len(dst):]
-	}
-	grown = dst[:total]
-	tail = grown[len(dst):]
-	for i := range tail {
-		tail[i] = 0
-	}
-	return grown, tail
-}
-
-// appendPolys appends the packed concatenation of polys to dst.
+// appendPolys appends the packed concatenation of polys to dst: one
+// allocation at most, none when dst has the capacity — the zero-copy seam
+// the public encoding.BinaryAppender implementations ride.
 func appendPolys(dst []byte, p *Params, polys ...ntt.Poly) []byte {
-	if p.IsRNS() {
-		return appendPolysRNS(dst, p, polys...)
-	}
 	pb := p.PolyBytes()
-	dst, tail := growZero(dst, len(polys)*pb)
-	for i, poly := range polys {
-		packPoly(tail[i*pb:(i+1)*pb], poly, p.CoeffBits())
+	dst = slices.Grow(dst, len(polys)*pb)
+	for _, poly := range polys {
+		off := len(dst)
+		dst = dst[:off+pb]
+		packPolyP(dst[off:], p, poly)
 	}
 	return dst
 }
 
-func packPoly(dst []byte, p ntt.Poly, width uint) {
-	bitPos := 0
-	for _, c := range p {
-		for b := uint(0); b < width; b++ {
-			if c>>b&1 == 1 {
-				dst[bitPos/8] |= 1 << (bitPos % 8)
-			}
-			bitPos++
-		}
+// rowWidth is the packed bit width of row i: CoeffBits for single-modulus
+// sets, channel i's width for RNS sets.
+func (p *Params) rowWidth(i int) uint {
+	if p.Basis != nil {
+		return p.Basis.Mods[i].BitLen()
+	}
+	return p.Mod.BitLen()
+}
+
+// rowQ is the modulus row i's coefficients must stay below.
+func (p *Params) rowQ(i int) uint32 {
+	if p.Basis != nil {
+		return p.Basis.Moduli[i]
+	}
+	return p.Q
+}
+
+// rowBytes is the packed size of row i.
+func (p *Params) rowBytes(i int) int { return (p.N*int(p.rowWidth(i)) + 7) / 8 }
+
+// packPolyP packs one polynomial row by row into dst[:PolyBytes].
+func packPolyP(dst []byte, p *Params, poly ntt.Poly) {
+	off := 0
+	for i := 0; i < p.K(); i++ {
+		rb := p.rowBytes(i)
+		packPoly(dst[off:off+rb], poly[i*p.N:(i+1)*p.N], p.rowWidth(i))
+		off += rb
 	}
 }
 
-func unpackPoly(src []byte, n int, width uint) ntt.Poly {
-	out := make(ntt.Poly, n)
-	unpackPolyInto(out, src, width)
-	return out
+// unpackPolyP unpacks one polynomial row by row from src[:PolyBytes],
+// failing at the first coefficient outside its row's range.
+func unpackPolyP(dst ntt.Poly, p *Params, src []byte) error {
+	off := 0
+	for i := 0; i < p.K(); i++ {
+		rb := p.rowBytes(i)
+		row := dst[i*p.N : (i+1)*p.N]
+		if j := unpackPolyInto(row, src[off:off+rb], p.rowWidth(i), p.rowQ(i)); j >= 0 {
+			return rangeError(p, i, j, row[j])
+		}
+		off += rb
+	}
+	return nil
 }
 
-func unpackPolyInto(dst ntt.Poly, src []byte, width uint) {
-	bitPos := 0
+// rangeError describes a non-canonical coefficient: index j of row i.
+// Oversized residues would smuggle non-canonical values through the CRT,
+// so RNS rows are held to their channel moduli exactly as single-modulus
+// bodies are held to q.
+func rangeError(p *Params, i, j int, c uint32) error {
+	if p.IsRNS() {
+		return fmt.Errorf("residue row %d coefficient %d out of range: %d ≥ q%d", i, j, c, i+1)
+	}
+	return fmt.Errorf("coefficient %d out of range: %d ≥ q", j, c)
+}
+
+// packPoly packs the low width bits (1 ≤ width ≤ 32) of each coefficient
+// of src, little-endian within the bit stream, overwriting every byte of
+// dst[:⌈len(src)·width/8⌉]. Coefficients collect in a 64-bit accumulator
+// that is stored a whole word at a time.
+func packPoly(dst []byte, src ntt.Poly, width uint) {
+	mask := uint64(1)<<width - 1
+	var acc uint64
+	var bits uint // valid low bits in acc, < 64 between coefficients
+	k := 0
+	for _, c := range src {
+		v := uint64(c) & mask
+		acc |= v << bits
+		bits += width
+		if bits >= 64 {
+			binary.LittleEndian.PutUint64(dst[k:], acc)
+			k += 8
+			bits -= 64
+			acc = v >> (width - bits) // the bits of v that did not fit
+		}
+	}
+	for ; bits > 0; bits -= min(bits, 8) {
+		dst[k] = byte(acc)
+		acc >>= 8
+		k++
+	}
+}
+
+// unpackPolyInto reverses packPoly into dst, loading src a 64-bit word at
+// a time, and checks each coefficient against q as it lands. It returns
+// the index of the first coefficient ≥ q, at which it stops (dst past that
+// index is unspecified), or -1 when every coefficient is in range.
+func unpackPolyInto(dst ntt.Poly, src []byte, width uint, q uint32) int {
+	mask := uint64(1)<<width - 1
+	var acc uint64
+	var bits uint // unread low bits in acc
+	k := 0
 	for i := range dst {
-		var c uint32
-		for b := uint(0); b < width; b++ {
-			c |= uint32(src[bitPos/8]>>(bitPos%8)&1) << b
-			bitPos++
+		var c uint64
+		if bits >= width {
+			c = acc & mask
+			acc >>= width
+			bits -= width
+		} else {
+			var w uint64
+			if k+8 <= len(src) {
+				w = binary.LittleEndian.Uint64(src[k:])
+			} else { // the last, partial word of src
+				var tail [8]byte
+				copy(tail[:], src[k:])
+				w = binary.LittleEndian.Uint64(tail[:])
+			}
+			k += 8
+			c = (acc | w<<bits) & mask
+			acc = w >> (width - bits) // the bits of w past this coefficient
+			bits += 64 - width
 		}
-		dst[i] = c
+		dst[i] = uint32(c)
+		if uint32(c) >= q {
+			return i
+		}
 	}
+	return -1
 }
 
 // AppendTo appends the packed body ã ‖ p̃ — no parameter tag — to dst and
@@ -141,31 +223,13 @@ func ParsePublicKeyBody(p *Params, body []byte) (*PublicKey, error) {
 		return nil, fmt.Errorf("core: public key: body is %d bytes, want %d", len(body), 2*pb)
 	}
 	pk := &PublicKey{Params: p, A: p.newPoly(), P: p.newPoly()}
-	unpackPolyP(pk.A, p, body[:pb])
-	unpackPolyP(pk.P, p, body[pb:])
-	if err := checkRange(p, pk.A, pk.P); err != nil {
+	if err := unpackPolyP(pk.A, p, body[:pb]); err != nil {
+		return nil, fmt.Errorf("core: public key: %w", err)
+	}
+	if err := unpackPolyP(pk.P, p, body[pb:]); err != nil {
 		return nil, fmt.Errorf("core: public key: %w", err)
 	}
 	return pk, nil
-}
-
-// unpackPolyP unpacks one packed polynomial body under p's layout: flat at
-// CoeffBits for single-modulus sets, per-channel rows for RNS sets.
-func unpackPolyP(dst ntt.Poly, p *Params, src []byte) {
-	if p.IsRNS() {
-		unpackPolyRNSInto(dst, p, src)
-		return
-	}
-	unpackPolyInto(dst, src, p.CoeffBits())
-}
-
-// packPolyP is the packing counterpart of unpackPolyP.
-func packPolyP(dst []byte, p *Params, poly ntt.Poly) {
-	if p.IsRNS() {
-		packPolyRNS(dst, p, poly)
-		return
-	}
-	packPoly(dst, poly, p.CoeffBits())
 }
 
 // ParsePublicKey reverses PublicKey.Bytes under the given parameters.
@@ -196,8 +260,7 @@ func ParsePrivateKeyBody(p *Params, body []byte) (*PrivateKey, error) {
 		return nil, fmt.Errorf("core: private key: body is %d bytes, want %d", len(body), p.PolyBytes())
 	}
 	sk := &PrivateKey{Params: p, R2: p.newPoly()}
-	unpackPolyP(sk.R2, p, body)
-	if err := checkRange(p, sk.R2); err != nil {
+	if err := unpackPolyP(sk.R2, p, body); err != nil {
 		return nil, fmt.Errorf("core: private key: %w", err)
 	}
 	return sk, nil
@@ -230,9 +293,6 @@ func (ct *Ciphertext) MarshalInto(dst []byte) error {
 	p := ct.Params
 	if len(dst) != 1+2*p.PolyBytes() {
 		return fmt.Errorf("core: ciphertext buffer is %d bytes, want %d", len(dst), 1+2*p.PolyBytes())
-	}
-	for i := range dst {
-		dst[i] = 0
 	}
 	tag, _ := paramTag(p)
 	dst[0] = tag
@@ -273,9 +333,10 @@ func ParseCiphertextBodyInto(ct *Ciphertext, body []byte) error {
 	if len(body) != 2*pb {
 		return fmt.Errorf("core: ciphertext: body is %d bytes, want %d", len(body), 2*pb)
 	}
-	unpackPolyP(ct.C1, p, body[:pb])
-	unpackPolyP(ct.C2, p, body[pb:])
-	if err := checkRange(p, ct.C1, ct.C2); err != nil {
+	if err := unpackPolyP(ct.C1, p, body[:pb]); err != nil {
+		return fmt.Errorf("core: ciphertext: %w", err)
+	}
+	if err := unpackPolyP(ct.C2, p, body[pb:]); err != nil {
 		return fmt.Errorf("core: ciphertext: %w", err)
 	}
 	// The ciphertext wire body carries no noise accounting; a parsed blob is
@@ -285,20 +346,20 @@ func ParseCiphertextBodyInto(ct *Ciphertext, body []byte) error {
 	return nil
 }
 
-// Streaming body I/O. The packed format groups eight coefficients into
-// CoeffBits whole bytes, so any multiple of eight coefficients starts on a
-// byte boundary; the writers and readers below exploit that to move bodies
-// through a small stack chunk instead of materializing the whole blob —
+// Streaming body I/O. Every row packs eight coefficients into width whole
+// bytes, so any multiple of eight coefficients starts on a byte boundary;
+// the writers and readers below exploit that to move bodies row by row
+// through a small chunk buffer instead of materializing the whole blob —
 // the seam behind the public io.WriterTo/io.ReaderFrom implementations.
 
 // streamChunkCoeffs is the number of coefficients packed per streaming
 // chunk. It is a multiple of 8 so every chunk begins byte-aligned, and
-// small enough that the chunk buffer lives on the stack (8·CoeffBits bytes
-// per 64 coefficients: 104 B for P1, 112 B for P2, 256 B worst case).
+// small (8·width bytes per 64 coefficients: 104 B for P1, 112 B for P2,
+// 256 B worst case).
 const streamChunkCoeffs = 64
 
 // streamChunkBufSize bounds the per-chunk byte count: 64 coefficients at
-// the 32-bit ceiling on CoeffBits.
+// the 32-bit ceiling on a row width.
 const streamChunkBufSize = streamChunkCoeffs / 8 * 32
 
 // streamChunkPool recycles chunk buffers: a stack array would escape
@@ -306,60 +367,56 @@ const streamChunkBufSize = streamChunkCoeffs / 8 * 32
 // the streaming paths at zero steady-state allocations.
 var streamChunkPool = sync.Pool{New: func() any { return new([streamChunkBufSize]byte) }}
 
-// writePolysTo writes the packed concatenation of polys to w chunk by
-// chunk, returning the byte count written. It allocates no slice
+// writePolysTo writes the packed concatenation of polys to w row by row,
+// chunk by chunk, returning the byte count written. It allocates no slice
 // proportional to the body.
 func writePolysTo(w io.Writer, p *Params, polys ...ntt.Poly) (int64, error) {
-	if p.IsRNS() {
-		return writePolysToRNS(w, p, polys...)
-	}
 	buf := streamChunkPool.Get().(*[streamChunkBufSize]byte)
 	defer streamChunkPool.Put(buf)
-	width := p.CoeffBits()
 	var written int64
 	for _, poly := range polys {
-		for off := 0; off < len(poly); off += streamChunkCoeffs {
-			end := min(off+streamChunkCoeffs, len(poly))
-			nb := (end - off) / 8 * int(width)
-			chunk := buf[:nb]
-			for i := range chunk {
-				chunk[i] = 0
-			}
-			packPoly(chunk, poly[off:end], width)
-			n, err := w.Write(chunk)
-			written += int64(n)
-			if err != nil {
-				return written, err
+		for i := 0; i < p.K(); i++ {
+			width := p.rowWidth(i)
+			row := poly[i*p.N : (i+1)*p.N]
+			for off := 0; off < len(row); off += streamChunkCoeffs {
+				end := min(off+streamChunkCoeffs, len(row))
+				chunk := buf[:(end-off)/8*int(width)]
+				packPoly(chunk, row[off:end], width)
+				n, err := w.Write(chunk)
+				written += int64(n)
+				if err != nil {
+					return written, err
+				}
 			}
 		}
 	}
 	return written, nil
 }
 
-// readPolysFrom fills polys from the packed stream r chunk by chunk,
-// returning the byte count consumed. Coefficients are range-checked after
-// each poly completes, as the one-shot parsers do.
+// readPolysFrom fills polys from the packed stream r row by row, chunk by
+// chunk, returning the byte count consumed. Each chunk is range-checked as
+// it is unpacked, so the read stops at the chunk holding the first
+// out-of-range coefficient, with the one-shot parsers' error.
 func readPolysFrom(r io.Reader, p *Params, polys ...ntt.Poly) (int64, error) {
-	if p.IsRNS() {
-		return readPolysFromRNS(r, p, polys...)
-	}
 	buf := streamChunkPool.Get().(*[streamChunkBufSize]byte)
 	defer streamChunkPool.Put(buf)
-	width := p.CoeffBits()
 	var read int64
 	for _, poly := range polys {
-		for off := 0; off < len(poly); off += streamChunkCoeffs {
-			end := min(off+streamChunkCoeffs, len(poly))
-			nb := (end - off) / 8 * int(width)
-			n, err := io.ReadFull(r, buf[:nb])
-			read += int64(n)
-			if err != nil {
-				return read, err
+		for i := 0; i < p.K(); i++ {
+			width, q := p.rowWidth(i), p.rowQ(i)
+			row := poly[i*p.N : (i+1)*p.N]
+			for off := 0; off < len(row); off += streamChunkCoeffs {
+				end := min(off+streamChunkCoeffs, len(row))
+				chunk := buf[:(end-off)/8*int(width)]
+				n, err := io.ReadFull(r, chunk)
+				read += int64(n)
+				if err != nil {
+					return read, err
+				}
+				if j := unpackPolyInto(row[off:end], chunk, width, q); j >= 0 {
+					return read, rangeError(p, i, off+j, row[off+j])
+				}
 			}
-			unpackPolyInto(poly[off:end], buf[:nb], width)
-		}
-		if err := checkRange(p, poly); err != nil {
-			return read, err
 		}
 	}
 	return read, nil
@@ -427,20 +484,6 @@ func checkBlob(p *Params, data []byte, polys int) error {
 	tag, _ := paramTag(p)
 	if data[0] != tag {
 		return fmt.Errorf("parameter tag %d, want %d (%s)", data[0], tag, p.Name)
-	}
-	return nil
-}
-
-func checkRange(p *Params, polys ...ntt.Poly) error {
-	if p.IsRNS() {
-		return checkRangeRNS(p, polys...)
-	}
-	for _, poly := range polys {
-		for i, c := range poly {
-			if c >= p.Q {
-				return fmt.Errorf("coefficient %d out of range: %d ≥ q", i, c)
-			}
-		}
 	}
 	return nil
 }

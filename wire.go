@@ -107,9 +107,10 @@ func registryInit() {
 // of that set self-describing: after registration, MarshalBinary embeds id
 // and the ParseAny functions recover p from it. IDs 1–4 are the built-in
 // P1, P2, A1 and B1; Custom sets must pick a nonzero ID of their own.
-// Registering the same (id, params) pair again is a no-op; claiming an ID
-// already bound to a different set, or registering one set under two IDs,
-// is an error.
+// Registering the same (id, params) pair again is a no-op, also when p is
+// a structurally identical rebuild of the registered set (same name, N,
+// modulus, σ and λ); claiming an ID already bound to a different set, or
+// registering one set under two IDs, is an error.
 func RegisterParams(id uint16, p *Params) error {
 	if id == 0 {
 		return errors.New("ringlwe: wire ID 0 is reserved for unregistered sets")
@@ -118,18 +119,32 @@ func RegisterParams(id uint16, p *Params) error {
 	paramsRegistry.mu.Lock()
 	defer paramsRegistry.mu.Unlock()
 	if prev, ok := paramsRegistry.byID[id]; ok {
-		if prev.inner == p.inner {
+		if sameParams(prev, p) {
 			return nil
 		}
 		return fmt.Errorf("ringlwe: wire ID %d is already registered to %s", id, prev.Name())
 	}
 	for otherID, other := range paramsRegistry.byID {
-		if other.inner == p.inner {
+		if sameParams(other, p) {
 			return fmt.Errorf("ringlwe: parameter set %s is already registered as wire ID %d", p.Name(), otherID)
 		}
 	}
 	paramsRegistry.byID[id] = p
 	return nil
+}
+
+// sameParams reports whether a and b describe the same parameter set: one
+// instance, or two built from identical name, N, modulus (or residue
+// basis), σ and λ.
+func sameParams(a, b *Params) bool {
+	x, y := a.inner, b.inner
+	if x == y {
+		return true
+	}
+	return x.Name == y.Name && x.N == y.N && x.Q == y.Q &&
+		x.SNum == y.SNum && x.SDen == y.SDen && x.Lambda == y.Lambda &&
+		(x.Basis == nil) == (y.Basis == nil) &&
+		(x.Basis == nil || slices.Equal(x.Basis.Moduli, y.Basis.Moduli))
 }
 
 // WireID returns the parameter set's registered wire ID (1 for P1, 2 for
@@ -140,7 +155,7 @@ func (p *Params) WireID() uint16 {
 	paramsRegistry.mu.RLock()
 	defer paramsRegistry.mu.RUnlock()
 	for id, reg := range paramsRegistry.byID {
-		if reg.inner == p.inner {
+		if sameParams(reg, p) {
 			return id
 		}
 	}

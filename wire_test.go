@@ -210,8 +210,18 @@ func TestWireCustomParams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Unregistered: marshaling is refused with an actionable error.
-	if _, err := pub.MarshalBinary(); err == nil || !strings.Contains(err.Error(), "RegisterParams") {
+	// Unregistered: marshaling is refused with an actionable error. The
+	// registry is process-global and "toy" stays registered across -count
+	// repeats, so the check runs on a set nothing ever registers.
+	unregistered, err := Custom("toy-unregistered", 64, 7681, 1131, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upub, _, err := NewDeterministic(unregistered, 307).GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := upub.MarshalBinary(); err == nil || !strings.Contains(err.Error(), "RegisterParams") {
 		t.Fatalf("unregistered custom set marshaled (err=%v), want RegisterParams hint", err)
 	}
 
@@ -224,6 +234,17 @@ func TestWireCustomParams(t *testing.T) {
 	// Idempotent re-registration; conflicting claims rejected.
 	if err := RegisterParams(0x7001, custom); err != nil {
 		t.Fatalf("re-registering the same pair: %v", err)
+	}
+	// A structurally identical rebuild is the same set.
+	rebuilt, err := Custom("toy", 64, 7681, 1131, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RegisterParams(0x7001, rebuilt); err != nil {
+		t.Fatalf("re-registering a rebuilt set: %v", err)
+	}
+	if got := rebuilt.WireID(); got != 0x7001 {
+		t.Fatalf("rebuilt WireID = %d, want %d", got, 0x7001)
 	}
 	if err := RegisterParams(0x7001, P1()); err == nil {
 		t.Fatal("claiming a taken ID for different params succeeded")
