@@ -2,10 +2,11 @@ package ringlwe
 
 import (
 	"ringlwe/internal/core"
+	"ringlwe/internal/par"
 )
 
 // Batch operations: concurrency-safe on a shared Scheme. Each call drives
-// the bounded worker pool of internal/core (GOMAXPROCS workers at most,
+// the bounded worker pool of internal/par (GOMAXPROCS workers at most,
 // one pooled workspace per worker), so N-item batches pay workspace setup
 // at most once per worker and the per-item crypto path allocates only its
 // outputs.
@@ -14,7 +15,7 @@ import (
 // worker; per-item failures are reported by fn writing into caller-owned
 // slices, batch-level failures via fn's returned error (first one wins).
 func (s *Scheme) runBatch(n int, fn func(w *Workspace, i int) error) error {
-	return core.ParallelFor(n, 0, func() (func(i int) error, func()) {
+	return par.ParallelFor(n, 0, func() (func(i int) error, func()) {
 		w := s.AcquireWorkspace()
 		return func(i int) error { return fn(w, i) }, func() { s.ReleaseWorkspace(w) }
 	})

@@ -4,15 +4,13 @@
 // the ring-LWE KEM handshake.
 //
 // The server holds one scheme and long-term key pair per parameter set
-// and serves v2 (negotiated) and legacy v1 clients of any of them on one
-// port; handshakes run on pooled per-goroutine workspaces fed by a
+// and serves negotiating clients of any of them on one port; handshakes run on pooled per-goroutine workspaces fed by a
 // per-scheme AES-CTR DRBG. On SIGINT/SIGTERM it shuts down gracefully and
 // prints the per-params counter snapshot.
 //
 //	rlwe-channel serve   -addr 127.0.0.1:9999 -params P1,P2
 //	rlwe-channel serve   -addr 127.0.0.1:9999 -debug-addr 127.0.0.1:9998 -log
 //	rlwe-channel connect -addr 127.0.0.1:9999 -params P2 -msg "hello"
-//	rlwe-channel connect -addr 127.0.0.1:9999 -params P1 -proto v1
 //	rlwe-channel connect -addr 127.0.0.1:9999 -rekey 2 -count 8
 //
 // -debug-addr serves the opt-in admin endpoint (Prometheus /metrics,
@@ -47,8 +45,7 @@ func main() {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:0", "listen/connect address")
 	paramsList := fs.String("params", "", "parameter sets (serve: comma list, default P1,P2; connect: one, default = server's choice)")
-	proto := fs.String("proto", "v2", "handshake generation (connect mode): v2 or v1")
-	rekey := fs.Uint64("rekey", 0, "rekey after this many records (connect mode, v2 only; 0 = never)")
+	rekey := fs.Uint64("rekey", 0, "rekey after this many records (connect mode; 0 = never)")
 	msg := fs.String("msg", "ping", "message to send (connect mode)")
 	count := fs.Int("count", 3, "how many messages to send (connect mode)")
 	once := fs.Bool("once", false, "serve a single connection and exit")
@@ -65,7 +62,7 @@ func main() {
 		}
 		serve(*addr, parseParamsList(*paramsList), *once, *debugAddr, *structured)
 	case "connect":
-		connect(*addr, strings.TrimSpace(*paramsList), *proto, *rekey, *msg, *count)
+		connect(*addr, strings.TrimSpace(*paramsList), *rekey, *msg, *count)
 	default:
 		usage()
 	}
@@ -186,11 +183,11 @@ func echo(ch *protocol.Channel) {
 }
 
 func report(ch *protocol.Channel, conn net.Conn) {
-	fmt.Printf("channel with %s established (%s, v%d, %d KEM retries)\n",
-		conn.RemoteAddr(), ch.Params().Name(), ch.Version(), ch.Retries)
+	fmt.Printf("channel with %s established (%s, %d KEM retries)\n",
+		conn.RemoteAddr(), ch.Params().Name(), ch.Retries)
 }
 
-func connect(addr, paramsName, proto string, rekey uint64, msg string, count int) {
+func connect(addr, paramsName string, rekey uint64, msg string, count int) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		fatal(err)
@@ -198,24 +195,18 @@ func connect(addr, paramsName, proto string, rekey uint64, msg string, count int
 	defer conn.Close()
 
 	var ch *protocol.Channel
-	switch {
-	case proto == "v1":
-		if paramsName == "" {
-			fatal(fmt.Errorf("-proto v1 needs an explicit -params"))
-		}
-		ch, err = protocol.ClientV1(conn, ringlwe.New(paramsByName(paramsName)))
-	case paramsName == "":
+	if paramsName == "" {
 		// No set named: negotiate the server's default from the header of
 		// its self-describing public-key blob.
 		ch, err = protocol.ClientAuto(conn, protocol.WithRekeyAfter(rekey))
-	default:
+	} else {
 		ch, err = protocol.Client(conn, ringlwe.New(paramsByName(paramsName)),
 			protocol.WithRekeyAfter(rekey))
 	}
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("connected to %s over a %s channel (protocol v%d)\n", addr, ch.Params().Name(), ch.Version())
+	fmt.Printf("connected to %s over a %s channel\n", addr, ch.Params().Name())
 	for i := 0; i < count; i++ {
 		line := fmt.Sprintf("%s #%d", msg, i+1)
 		if err := ch.Send([]byte(line)); err != nil {
@@ -241,11 +232,11 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rlwe-channel serve   -addr HOST:PORT [-params P1,P2] [-once]
                        [-debug-addr HOST:PORT] [-log]
-  rlwe-channel connect -addr HOST:PORT [-params P1|P2] [-proto v2|v1]
+  rlwe-channel connect -addr HOST:PORT [-params P1|P2]
                        [-rekey N] [-msg TEXT] [-count N]
 
-serve answers v2 (negotiated) and legacy v1 clients on one port, one
-tenant per -params entry (default P1,P2). -debug-addr additionally
+serve answers negotiating clients on one port, one tenant per -params
+entry (default P1,P2). -debug-addr additionally
 serves Prometheus /metrics, /debug/vars and pprof on its own listener;
 -log switches stderr reporting to structured slog lines. connect
 without -params negotiates the server's default set from its public-key

@@ -1,17 +1,16 @@
-// Secure channel v2 over TCP: a post-quantum handshake in the style of
+// Secure channel over TCP: a post-quantum handshake in the style of
 // the key-exchange work the paper's Table III compares against ([9],
 // ring-LWE key exchange for TLS), upgraded to the negotiated multi-tenant
 // protocol.
 //
 // One server holds a long-term ring-LWE key pair per parameter set (the
 // post-quantum analogue of a TLS server certificate per cipher suite) and
-// serves them all on one port. Three clients hit it concurrently:
+// serves them all on one port. Two clients hit it concurrently:
 //
-//   - a P1 client using the v2 negotiated handshake (the server's first
+//   - a P1 client using the negotiated handshake (the server's first
 //     flight is its self-describing public-key blob; the client checks
 //     the parameter set in its six-byte header),
-//   - a P2 client doing the same against the same port,
-//   - a legacy v1 client speaking the original one-byte parameter tag.
+//   - a P2 client doing the same against the same port.
 //
 // The P1 client also rekeys mid-session: after WithRekeyAfter(2) records
 // it transparently encapsulates a fresh session key inside the channel
@@ -56,7 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 	go srv.Serve(ln)
-	fmt.Printf("server: one port (%s), two parameter sets, v1+v2 accepted\n", ln.Addr())
+	fmt.Printf("server: one port (%s), two parameter sets\n", ln.Addr())
 
 	var wg sync.WaitGroup
 	run := func(label string, dial func(net.Conn) (*protocol.Channel, error), lines []string) {
@@ -71,8 +70,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
 		}
-		fmt.Printf("%s: handshake done in %v (negotiated %s, protocol v%d)\n",
-			label, time.Since(start).Round(time.Microsecond), ch.Params().Name(), ch.Version())
+		fmt.Printf("%s: handshake done in %v (negotiated %s)\n",
+			label, time.Since(start).Round(time.Microsecond), ch.Params().Name())
 		for _, line := range lines {
 			if err := ch.Send([]byte(line)); err != nil {
 				log.Fatalf("%s: %v", label, err)
@@ -88,16 +87,13 @@ func main() {
 		}
 	}
 
-	wg.Add(3)
-	go run("client[P1,v2]", func(c net.Conn) (*protocol.Channel, error) {
+	wg.Add(2)
+	go run("client[P1]", func(c net.Conn) (*protocol.Channel, error) {
 		return protocol.Client(c, ringlwe.New(ringlwe.P1()), protocol.WithRekeyAfter(2))
 	}, []string{"temperature 21.4C", "pressure 1013 hPa", "door sensor: closed", "humidity 40%"})
-	go run("client[P2,v2]", func(c net.Conn) (*protocol.Channel, error) {
+	go run("client[P2]", func(c net.Conn) (*protocol.Channel, error) {
 		return protocol.Client(c, ringlwe.New(ringlwe.P2()))
 	}, []string{"firmware hash f00d...", "uptime 312d"})
-	go run("client[P1,v1]", func(c net.Conn) (*protocol.Channel, error) {
-		return protocol.ClientV1(c, ringlwe.New(ringlwe.P1()))
-	}, []string{"legacy node says hi"})
 	wg.Wait()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

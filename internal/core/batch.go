@@ -6,21 +6,12 @@ import "ringlwe/internal/par"
 // workspace paths over many items at once. Workers pull item indices from a
 // shared atomic counter (work stealing, no per-item channel traffic) and
 // each holds one pooled workspace for its whole run, so an N-item batch
-// costs the same workspace setup as max(workers) single calls.
-
-// ParallelFor distributes indices [0, n) over up to `workers` goroutines
-// (workers ≤ 0 means GOMAXPROCS). startWorker runs once per goroutine and
-// returns the per-item function plus a cleanup run when that goroutine
-// drains. The implementation lives in internal/par so the transform layer
-// can share it; this delegate keeps the core-level call sites (and the
-// public batch APIs built on them) unchanged.
-func ParallelFor(n, workers int, startWorker func() (do func(i int) error, done func())) error {
-	return par.ParallelFor(n, workers, startWorker)
-}
+// costs the same workspace setup as max(workers) single calls. The pool
+// itself is par.ParallelFor, shared with the transform layer.
 
 // parallel runs fn over indices [0, n), one pooled workspace per worker.
 func (s *Scheme) parallel(n, workers int, fn func(w *Workspace, i int) error) error {
-	return ParallelFor(n, workers, func() (func(i int) error, func()) {
+	return par.ParallelFor(n, workers, func() (func(i int) error, func()) {
 		w := s.Acquire()
 		return func(i int) error { return fn(w, i) }, func() { s.Release(w) }
 	})

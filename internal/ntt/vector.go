@@ -34,8 +34,8 @@ import (
 // The short-stride stages (step 4, 2, 1), where lo and hi lanes interleave
 // inside one block, get dedicated kernels that keep the whole 8-coefficient
 // block in registers; this is the layout an in-register shuffle network
-// would use, so a future assembly kernel can replace each Go kernel
-// behind the per-GOARCH seam in vector_amd64.go without touching callers.
+// would use. The kernels are plain Go, so the backend is the same on every
+// GOARCH.
 //
 // Results are bit-identical to the Barrett reference and the Shoup engine
 // (asserted by the differential tests and scheme KATs); only the schedule
@@ -102,11 +102,6 @@ func (e *VectorEngine) Name() string { return "vector" }
 // Tables implements Engine.
 func (e *VectorEngine) Tables() *Tables { return e.t }
 
-// ISA reports which per-GOARCH kernel binding this build compiled in
-// ("amd64", "portable", …) — diagnostics for the dispatch layer and the
-// seam future assembly kernels replace.
-func (e *VectorEngine) ISA() string { return vectorKernelISA }
-
 // mulShoupLazy is zq.Modulus.MulShoupLazy with the modulus held in a
 // register-resident scalar, so the kernels below inline it without
 // touching the Modulus struct per lane.
@@ -160,12 +155,12 @@ func invButterfly8(lo, hi *[8]uint32, w, ws, q, twoQ uint32) {
 	lo[7], hi[7] = zq.CondSub(u7+v7, twoQ), mulShoupLazy(u7-v7+twoQ, w, ws, q)
 }
 
-// vecForwardGeneric is the portable whole-transform forward kernel: lazy
+// vecForward is the whole-transform forward kernel: lazy
 // butterflies throughout, canonical output via the normalization fused
 // into the final stage. Stages are dispatched by stride class — wide
 // strides run 8-lane blocks, the three interleaved tail strides (4, 2, 1)
 // run dedicated in-register block kernels.
-func vecForwardGeneric(e *VectorEngine, a Poly) {
+func vecForward(e *VectorEngine, a Poly) {
 	n := e.t.N
 	q, twoQ := e.q, e.twoQ
 	psi, psiS := e.t.PsiRev, e.psiRevShoup
@@ -245,10 +240,10 @@ func vecForwardGeneric(e *VectorEngine, a Poly) {
 	}
 }
 
-// vecInverseGeneric is the portable whole-transform inverse kernel: the
-// stride classes of the forward kernel mirrored, with the final n⁻¹
-// scaling (and its fused normalization) left to vecScaleNInvGeneric.
-func vecInverseGeneric(e *VectorEngine, a Poly) {
+// vecInverse is the whole-transform inverse kernel: the stride classes of
+// the forward kernel mirrored, with the n⁻¹ scaling (and its fused
+// normalization) merged into the final stage.
+func vecInverse(e *VectorEngine, a Poly) {
 	n := e.t.N
 	q, twoQ := e.q, e.twoQ
 	psi, psiS := e.t.PsiInvRev, e.psiInvRevShoup
@@ -427,8 +422,7 @@ func (e *VectorEngine) PointwiseMulAdd(acc, a, b Poly) {
 }
 
 // Add implements Engine: branchless per-coefficient add — a straight-line
-// loop of the form the compiler's auto-vectorizer (and any future lane
-// kernel behind the vector seam) handles well.
+// loop of the form the compiler's auto-vectorizer handles well.
 func (e *VectorEngine) Add(c, a, b Poly) {
 	n := e.t.N
 	if len(a) != n || len(b) != n || len(c) != n {

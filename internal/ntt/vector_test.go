@@ -109,23 +109,6 @@ func TestVectorMinimumDimension(t *testing.T) {
 	}
 }
 
-// TestVectorISA pins the kernel seam: exactly one per-GOARCH binding file
-// is compiled in and reports which instruction family the kernels target.
-func TestVectorISA(t *testing.T) {
-	tab := manyTestTables(t)
-	e, err := NewEngine("vector", tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok := e.(*VectorEngine)
-	if !ok {
-		t.Fatalf("vector registry entry built %T", e)
-	}
-	if isa := v.ISA(); isa == "" {
-		t.Error("ISA() is empty; the kernel seam is unbound")
-	}
-}
-
 // TestVectorZeroAlloc pins every hot vector-engine operation at zero
 // allocations per call, matching the Shoup engine's contract (the CI
 // allocation-regression gate runs -run ZeroAlloc).

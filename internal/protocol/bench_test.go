@@ -49,13 +49,6 @@ func BenchmarkHandshakeV2P2(b *testing.B) {
 	})
 }
 
-func BenchmarkHandshakeV1P1(b *testing.B) {
-	scheme := ringlwe.NewDeterministic(ringlwe.P1(), 9003)
-	benchmarkHandshake(b, ringlwe.P1(), func(c net.Conn) (*Channel, error) {
-		return ClientV1(c, scheme)
-	})
-}
-
 // BenchmarkHandshakeResumeP1 measures a ticket resumption round trip —
 // the headline of the resumption work: no KEM flight at all, one AES-GCM
 // ticket decrypt plus the key schedule on each side. Compare against

@@ -10,15 +10,12 @@ import (
 )
 
 // FuzzHandshake throws arbitrary first flights at every handshake entry
-// point — the multi-tenant server (which auto-detects v1/v2) and the
-// three client variants (whose peer bytes the fuzzer controls). Nothing
-// may panic: truncated, corrupted and kind-confused flights must all
-// surface as errors, and a lucky valid prefix must complete or fail
-// cleanly.
+// point — the multi-tenant server and the three client variants (whose
+// peer bytes the fuzzer controls). Nothing may panic: truncated,
+// corrupted and kind-confused flights must all surface as errors, and a
+// lucky valid prefix must complete or fail cleanly.
 func FuzzHandshake(f *testing.F) {
-	// Valid v1 and v2 hellos.
-	f.Add([]byte{0x52, 0x4C, 1, 0})
-	f.Add([]byte{0x52, 0x4C, 2, 0})
+	// Valid hellos.
 	f.Add([]byte{0x52, 0x4C, 0xFF, 2, 0, 1, 0, 0})
 	f.Add([]byte{0x52, 0x4C, 0xFF, 2, 0, 2, 0, 0})
 	f.Add([]byte{0x52, 0x4C, 0xFF, 2, 0, 0, 0, 0})
@@ -30,7 +27,10 @@ func FuzzHandshake(f *testing.F) {
 	garbageResume = append(garbageResume, make([]byte, 79+16)...)
 	f.Add(garbageResume)
 	f.Add([]byte{0x52, 0x4C, 0xFF, 2, 0, 1, 0x03, 0, 0xFF, 0xFF})
-	// Unknown ID, wrong version, bad magic, short.
+	// Must-reject: retired four-byte v1 hellos (P1 and P2 tags), unknown
+	// ID, wrong version, bad magic, short.
+	f.Add([]byte{0x52, 0x4C, 1, 0})
+	f.Add([]byte{0x52, 0x4C, 2, 0})
 	f.Add([]byte{0x52, 0x4C, 0xFF, 2, 0xBE, 0xEF, 0, 0})
 	f.Add([]byte{0x52, 0x4C, 0xFF, 9, 0, 1, 0, 0})
 	f.Add([]byte{'X', 'Y', 1, 0})
@@ -61,14 +61,15 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(append(append([]byte{}, hello2...), pkBlob...))
 	f.Add(append(append([]byte{}, hello2...), ekBlob[:37]...))
 
-	// Server flights for the client paths: status ‖ pk blob (v2), raw
-	// legacy pk bytes (v1), and kind-confused variants.
+	// Server flights for the client paths: status ‖ pk blob, raw
+	// legacy-tagged pk bytes, and kind-confused variants.
 	f.Add(append([]byte{statusOK}, pkBlob...))
 	f.Add(append([]byte{statusOK}, ekBlob...))
 	f.Add([]byte{statusReject})
 	f.Add(seedPK.Bytes())
 	// Complete server flights: the client paths run to an established
-	// channel (status ‖ pk blob ‖ status, and the legacy equivalent).
+	// channel (status ‖ pk blob ‖ status), and a legacy-tagged key in
+	// its place.
 	f.Add(append(append([]byte{statusOK}, pkBlob...), statusOK))
 	f.Add(append(seedPK.Bytes(), statusOK))
 
@@ -96,9 +97,6 @@ func FuzzHandshake(f *testing.F) {
 		}
 		// Client sides: data is everything the server sends.
 		if ch, err := Client(rwShim{bytes.NewReader(data), io.Discard}, clientScheme); err == nil && ch == nil {
-			t.Fatal("nil channel without error")
-		}
-		if ch, err := ClientV1(rwShim{bytes.NewReader(data), io.Discard}, clientScheme); err == nil && ch == nil {
 			t.Fatal("nil channel without error")
 		}
 		if ch, err := ClientAuto(rwShim{bytes.NewReader(data), io.Discard}); err == nil && ch == nil {

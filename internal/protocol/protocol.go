@@ -3,14 +3,12 @@
 // paper's introduction motivates, and the use case its Table III peer [9]
 // (Bos et al., ring-LWE key exchange for TLS) evaluates.
 //
-// Two handshake versions share one server:
-//
-// Version 2 (the default) negotiates the parameter set through the
-// library's self-describing wire format. The client's first flight names a
-// registered parameter-set ID (or 0 for "server's choice"); the server
-// answers with a status byte and streams its self-describing public-key
-// blob, whose six-byte header carries the set actually served, so the
-// client recovers the parameters from the blob itself via the
+// The handshake (protocol version 2) negotiates the parameter set through
+// the library's self-describing wire format. The client's first flight
+// names a registered parameter-set ID (or 0 for "server's choice"); the
+// server answers with a status byte and streams its self-describing
+// public-key blob, whose six-byte header carries the set actually served,
+// so the client recovers the parameters from the blob itself via the
 // registered-params table:
 //
 //	C → S   HELLO2: magic ‖ 0xFF ‖ 2 ‖ params ID ‖ flags ‖ 0   (8 bytes)
@@ -19,23 +17,20 @@
 //	S → C   status (OK, or RETRY after an intrinsic LPR decryption
 //	        failure, in which case the client encapsulates again)
 //
-// Version 1 (legacy, still accepted) is the original fixed four-byte hello
-// carrying a one-byte parameter tag, answered with the legacy tagged
-// public-key blob; one server serves both generations on one port because
-// the first flight distinguishes them (hello[2] is 0xFF for v2, a legacy
-// tag otherwise).
+// A first flight that is not a version-2 hello (including the retired
+// four-byte version-1 hello) is rejected at once as a malformed hello.
 //
 // Both sides then derive direction-separated AES-128-CTR + HMAC-SHA256
-// keys from the shared secret and exchange length-prefixed sealed records
-// with monotonic sequence numbers (replay and reorder detection). Version
-// 2 records carry a type byte, which adds in-band rekeying for long-lived
-// sessions: after WithRekeyAfter(n) records the client transparently
-// encapsulates a fresh session key to the server's long-term public key
-// inside the channel (acknowledged before either side switches, so an
-// intrinsic decryption failure downgrades to a retry, not a dead channel),
-// and both sides roll to epoch-separated keys with reset sequence numbers.
+// keys from the shared secret and exchange typed, length-prefixed sealed
+// records with monotonic sequence numbers (replay and reorder detection).
+// The type byte carries in-band rekeying for long-lived sessions: after
+// WithRekeyAfter(n) records the client transparently encapsulates a fresh
+// session key to the server's long-term public key inside the channel
+// (acknowledged before either side switches, so an intrinsic decryption
+// failure downgrades to a retry, not a dead channel), and both sides roll
+// to epoch-separated keys with reset sequence numbers.
 //
-// A v2 handshake that set the ticket flag additionally receives a
+// A handshake that set the ticket flag additionally receives a
 // session-resumption ticket — the server's AES-GCM-sealed copy of a
 // resumption master secret both sides derive (see resume.go). Presenting
 // it on reconnect (ClientResume, the resume flag) skips the KEM flight:
@@ -73,10 +68,9 @@ import (
 // Protocol constants.
 const (
 	helloMagic    = 0x524C // "RL"
-	helloV1Len    = 4
+	helloPrefix   = 4      // magic ‖ marker ‖ version, read before the rest
 	helloV2Len    = 8
-	helloV2Marker = 0xFF // hello[2] value no legacy parameter tag uses
-	protocolV1    = 1
+	helloV2Marker = 0xFF
 	protocolV2    = 2
 
 	statusOK       = 0
@@ -105,7 +99,7 @@ const (
 	// will buffer while waiting for a rekey ack.
 	maxPendingRecords = 1024
 
-	// v2 record types. v1 records have no type byte.
+	// Record types.
 	recordData      = 0
 	recordRekey     = 1
 	recordRekeyAck  = 2
@@ -130,7 +124,7 @@ func applyOptions(opts []Option) options {
 	return o
 }
 
-// WithRekeyAfter makes a v2 client refresh the session keys after n data
+// WithRekeyAfter makes a client refresh the session keys after n data
 // records (counting both directions): before the n+1th send it runs an
 // in-band KEM rekey and both sides roll to fresh epoch-separated keys.
 // Zero (the default) never rekeys. Servers follow the client's lead and
@@ -155,7 +149,7 @@ func WithHandshakeTracer(t obs.Tracer) Option {
 	return func(o *options) { o.tracer = t }
 }
 
-// WithSessionTicket makes a v2 client request a session-resumption ticket
+// WithSessionTicket makes a client request a session-resumption ticket
 // in its hello: a ticket-issuing server hands back an encrypted ticket at
 // handshake completion, available as Channel.Session, and the next
 // connection can skip the KEM flight entirely via ClientResume. Servers
@@ -169,10 +163,6 @@ func WithSessionTicket() Option {
 // callers serialize Send/Recv per side as usual for record protocols.
 type Channel struct {
 	rw io.ReadWriter
-
-	// version is the negotiated protocol generation (protocolV1 or
-	// protocolV2); only v2 channels carry record types and can rekey.
-	version int
 
 	// KEM state for rekeying: the client keeps the scheme and the server's
 	// long-term public key, the server its scheme and private key.
@@ -226,10 +216,6 @@ type Channel struct {
 	Rekeys int
 }
 
-// Version reports the negotiated protocol generation: 1 for a legacy
-// tagged handshake, 2 for the self-describing negotiated handshake.
-func (c *Channel) Version() int { return c.version }
-
 // Params returns the negotiated parameter set.
 func (c *Channel) Params() *ringlwe.Params { return c.scheme.Params() }
 
@@ -247,23 +233,8 @@ func (c *Channel) Resumed() bool { return c.resumed }
 // plain handshakes return nil.
 func (c *Channel) Session() *Session { return c.session }
 
-// deriveKeys expands the shared secret into four directional keys (v1
-// derivation, unchanged from the original protocol).
-// isClient flips which derivation feeds which direction.
-func (c *Channel) deriveKeys(shared [ringlwe.SharedKeySize]byte, isClient bool) {
-	expand := func(label string) [32]byte {
-		h := sha256.New()
-		h.Write([]byte("ringlwe-channel-v1 " + label))
-		h.Write(shared[:])
-		var out [32]byte
-		copy(out[:], h.Sum(nil))
-		return out
-	}
-	c.setKeys(expand("c2s"), expand("s2c"), expand("c2s-mac"), expand("s2c-mac"), isClient)
-}
-
 // deriveKeysV2 expands the shared secret into the four directional keys of
-// one v2 epoch. The label binds the protocol generation, the negotiated
+// one epoch. The label binds the protocol generation, the negotiated
 // parameter set and the epoch counter, so keys from different epochs (and
 // different negotiated sets) live in disjoint domains.
 func (c *Channel) deriveKeysV2(shared [ringlwe.SharedKeySize]byte, epoch uint32, isClient bool) {
@@ -309,10 +280,8 @@ func (c *Channel) switchEpoch(shared [ringlwe.SharedKeySize]byte) {
 
 // record layout:
 //
-//	v1:  4-byte length ‖ ciphertext ‖ 16-byte truncated HMAC over
-//	     (seq ‖ length ‖ ciphertext)
-//	v2:  1-byte type ‖ 4-byte length ‖ ciphertext ‖ 16-byte truncated
-//	     HMAC over (seq ‖ type ‖ length ‖ ciphertext)
+//	1-byte type ‖ 4-byte length ‖ ciphertext ‖ 16-byte truncated HMAC
+//	over (seq ‖ type ‖ length ‖ ciphertext)
 
 func stream(key [16]byte, seq uint64, data []byte) []byte {
 	block, err := aes.NewCipher(key[:])
@@ -326,17 +295,13 @@ func stream(key [16]byte, seq uint64, data []byte) []byte {
 	return out
 }
 
-func (c *Channel) mac(key [32]byte, seq uint64, typ byte, length uint32, ct []byte) []byte {
+func mac(key [32]byte, seq uint64, typ byte, length uint32, ct []byte) []byte {
 	m := hmac.New(sha256.New, key[:])
 	var hdr [13]byte
 	binary.BigEndian.PutUint64(hdr[:8], seq)
-	n := 8
-	if c.version >= protocolV2 {
-		hdr[n] = typ
-		n++
-	}
-	binary.BigEndian.PutUint32(hdr[n:n+4], length)
-	m.Write(hdr[:n+4])
+	hdr[8] = typ
+	binary.BigEndian.PutUint32(hdr[9:], length)
+	m.Write(hdr[:])
 	m.Write(ct)
 	return m.Sum(nil)[:tagLen]
 }
@@ -363,15 +328,11 @@ func (c *Channel) sealRecord(typ byte, msg []byte) error {
 	}
 	ct := stream(c.sendKey, c.sendSeq, msg)
 	var hdr [5]byte
-	n := 0
-	if c.version >= protocolV2 {
-		hdr[0] = typ
-		n = 1
-	}
-	binary.BigEndian.PutUint32(hdr[n:n+4], uint32(len(ct)))
-	tag := c.mac(c.sendMAC, c.sendSeq, typ, uint32(len(ct)), ct)
+	hdr[0] = typ
+	binary.BigEndian.PutUint32(hdr[1:], uint32(len(ct)))
+	tag := mac(c.sendMAC, c.sendSeq, typ, uint32(len(ct)), ct)
 	c.sendSeq++
-	if _, err := c.rw.Write(hdr[:n+4]); err != nil {
+	if _, err := c.rw.Write(hdr[:]); err != nil {
 		return err
 	}
 	if _, err := c.rw.Write(ct); err != nil {
@@ -381,10 +342,9 @@ func (c *Channel) sealRecord(typ byte, msg []byte) error {
 	return err
 }
 
-// open reads and authenticates one record, returning its type (recordData
-// on v1 channels, which carry no type byte). Mirrors seal's accounting:
-// records/bytes opened on server channels, a PhaseRecordDecrypt span
-// when traced.
+// open reads and authenticates one record, returning its type. Mirrors
+// seal's accounting: records/bytes opened on server channels, a
+// PhaseRecordDecrypt span when traced.
 func (c *Channel) open() (byte, []byte, error) {
 	t0 := c.ct.start()
 	typ, msg, err := c.openRecord()
@@ -398,18 +358,11 @@ func (c *Channel) open() (byte, []byte, error) {
 
 func (c *Channel) openRecord() (byte, []byte, error) {
 	var hdr [5]byte
-	n := 0
-	typ := byte(recordData)
-	if c.version >= protocolV2 {
-		n = 1
-	}
-	if _, err := io.ReadFull(c.rw, hdr[:n+4]); err != nil {
+	if _, err := io.ReadFull(c.rw, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	if c.version >= protocolV2 {
-		typ = hdr[0]
-	}
-	length := binary.BigEndian.Uint32(hdr[n : n+4])
+	typ := hdr[0]
+	length := binary.BigEndian.Uint32(hdr[1:])
 	if length > maxRecordLen {
 		return 0, nil, fmt.Errorf("protocol: oversized record (%d bytes)", length)
 	}
@@ -421,7 +374,7 @@ func (c *Channel) openRecord() (byte, []byte, error) {
 	if _, err := io.ReadFull(c.rw, tag); err != nil {
 		return 0, nil, err
 	}
-	want := c.mac(c.recvMAC, c.recvSeq, typ, length, ct)
+	want := mac(c.recvMAC, c.recvSeq, typ, length, ct)
 	if !hmac.Equal(tag, want) {
 		return 0, nil, errors.New("protocol: record authentication failed")
 	}
@@ -431,7 +384,7 @@ func (c *Channel) openRecord() (byte, []byte, error) {
 }
 
 // Send seals and writes one data record, transparently rekeying first when
-// the channel's rekey threshold has been reached (v2 clients only).
+// the channel's rekey threshold has been reached (clients only).
 func (c *Channel) Send(msg []byte) error {
 	if c.needRekey() {
 		if err := c.rekey(); err != nil {
@@ -446,7 +399,7 @@ func (c *Channel) Send(msg []byte) error {
 }
 
 // Recv reads and opens records until a data record arrives, transparently
-// serving in-band rekey requests on the way (v2 servers only).
+// serving in-band rekey requests on the way (servers only).
 // Authentication failures and replays surface as errors and poison
 // nothing: the caller may close the channel.
 func (c *Channel) Recv() ([]byte, error) {
@@ -479,7 +432,7 @@ func (c *Channel) Recv() ([]byte, error) {
 }
 
 func (c *Channel) needRekey() bool {
-	return c.version >= protocolV2 && c.isClient && c.rekeyAfter > 0 && c.records >= c.rekeyAfter
+	return c.isClient && c.rekeyAfter > 0 && c.records >= c.rekeyAfter
 }
 
 // rekey runs the client side of an in-band epoch roll: encapsulate a fresh

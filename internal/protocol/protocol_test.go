@@ -62,9 +62,6 @@ func handshakePair(t *testing.T, params *ringlwe.Params, opts ...Option) (client
 func TestHandshakeAndRecords(t *testing.T) {
 	for _, params := range []*ringlwe.Params{ringlwe.P1(), ringlwe.P2()} {
 		client, server := handshakePair(t, params)
-		if client.Version() != 2 || server.Version() != 2 {
-			t.Fatalf("%s: negotiated version %d/%d, want 2/2", params.Name(), client.Version(), server.Version())
-		}
 		if client.Params().Name() != params.Name() || server.Params().Name() != params.Name() {
 			t.Fatalf("%s: negotiated params %s/%s", params.Name(), client.Params().Name(), server.Params().Name())
 		}
@@ -113,46 +110,42 @@ func TestHandshakeAndRecords(t *testing.T) {
 	}
 }
 
-// TestV1Fallback pins that a legacy tagged client still handshakes
-// against the multi-tenant server, for both sets it can name.
-func TestV1Fallback(t *testing.T) {
-	for _, params := range []*ringlwe.Params{ringlwe.P1(), ringlwe.P2()} {
-		srv := newTestServer(t, ringlwe.P1(), ringlwe.P2())
-		clientScheme := ringlwe.NewDeterministic(params, 3002)
-		cConn, sConn := net.Pipe()
-		var server *Channel
-		var sErr error
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			server, sErr = srv.Handshake(sConn)
-		}()
-		client, cErr := ClientV1(cConn, clientScheme)
-		wg.Wait()
-		if cErr != nil || sErr != nil {
-			t.Fatalf("%s: v1 handshake: client=%v server=%v", params.Name(), cErr, sErr)
-		}
-		if client.Version() != 1 || server.Version() != 1 {
-			t.Fatalf("%s: version %d/%d, want 1/1", params.Name(), client.Version(), server.Version())
-		}
-		recvDone := make(chan struct{})
-		var got []byte
-		var rErr error
-		go func() {
-			got, rErr = server.Recv()
-			close(recvDone)
-		}()
-		if err := client.Send([]byte("legacy")); err != nil {
-			t.Fatal(err)
-		}
-		<-recvDone
-		if rErr != nil {
-			t.Fatal(rErr)
-		}
-		if string(got) != "legacy" {
-			t.Fatalf("v1 record came back as %q", got)
-		}
+// TestV1HelloFailsLoudly pins the retirement of the four-byte v1 hello:
+// over a live pipe, with the client sending nothing more and reading
+// nothing, the server rejects the prefix at once as a malformed hello —
+// counted under reason "hello", not left to run into the handshake
+// deadline.
+func TestV1HelloFailsLoudly(t *testing.T) {
+	srv := newTestServer(t, ringlwe.P1(), ringlwe.P2())
+	cConn, sConn := net.Pipe()
+	defer cConn.Close()
+	defer sConn.Close()
+	sErrCh := make(chan error, 1)
+	go func() {
+		_, err := srv.Handshake(sConn)
+		sErrCh <- err
+	}()
+	if _, err := cConn.Write([]byte{0x52, 0x4C, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	select {
+	case err = <-sErrCh:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server still waiting after a v1 hello")
+	}
+	if !errors.Is(err, errBadHello) {
+		t.Fatalf("server error %v, want errBadHello", err)
+	}
+	if got := failureReason(err); got != reasonHello {
+		t.Errorf("failure reason %q, want %q", got, reasonHello)
+	}
+	st := srv.Stats()
+	if st.Rejected != 1 {
+		t.Errorf("rejected counter %d, want 1", st.Rejected)
+	}
+	if st.Timeouts != 0 {
+		t.Errorf("timeout counter %d, want 0", st.Timeouts)
 	}
 }
 
@@ -298,8 +291,9 @@ func TestMalformedHellos(t *testing.T) {
 		{"empty", nil},
 		{"bad magic", []byte{'X', 'Y', 1, 0}},
 		{"truncated", []byte{0x52, 0x4C}},
-		{"v1 nonzero pad", []byte{0x52, 0x4C, 1, 7}},
-		{"v1 custom tag", []byte{0x52, 0x4C, 0, 0}},
+		{"retired v1 hello, P1 tag", []byte{0x52, 0x4C, 1, 0}},
+		{"retired v1 hello, nonzero pad", []byte{0x52, 0x4C, 1, 7}},
+		{"retired v1 hello, custom tag", []byte{0x52, 0x4C, 0, 0}},
 		{"v2 bad version", []byte{0x52, 0x4C, 0xFF, 9, 0, 1, 0, 0}},
 		{"v2 truncated id", []byte{0x52, 0x4C, 0xFF, 2, 0}},
 		{"v2 unknown id", []byte{0x52, 0x4C, 0xFF, 2, 0xBE, 0xEF, 0, 0}},
@@ -319,7 +313,7 @@ func TestRecordTampering(t *testing.T) {
 	// Tamper in flight: intercept with a buffer.
 	var wire bytes.Buffer
 	tampered := &Channel{
-		rw: &wire, version: protocolV2,
+		rw:      &wire,
 		sendKey: client.sendKey, sendMAC: client.sendMAC,
 	}
 	if err := tampered.Send([]byte("payload")); err != nil {
@@ -341,7 +335,7 @@ func TestRecordTampering(t *testing.T) {
 func TestRecordTypeTampering(t *testing.T) {
 	client, server := handshakePair(t, ringlwe.P1())
 	var wire bytes.Buffer
-	sender := &Channel{rw: &wire, version: protocolV2, sendKey: client.sendKey, sendMAC: client.sendMAC}
+	sender := &Channel{rw: &wire, sendKey: client.sendKey, sendMAC: client.sendMAC}
 	if err := sender.Send([]byte("data")); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +350,7 @@ func TestRecordTypeTampering(t *testing.T) {
 func TestReplayRejected(t *testing.T) {
 	client, server := handshakePair(t, ringlwe.P1())
 	var wire bytes.Buffer
-	sender := &Channel{rw: &wire, version: protocolV2, sendKey: client.sendKey, sendMAC: client.sendMAC}
+	sender := &Channel{rw: &wire, sendKey: client.sendKey, sendMAC: client.sendMAC}
 	if err := sender.Send([]byte("once")); err != nil {
 		t.Fatal(err)
 	}
@@ -379,15 +373,10 @@ func TestOversizedRecordRejected(t *testing.T) {
 	if err := client.Send(make([]byte, maxRecordLen+1)); err == nil {
 		t.Fatal("oversized send accepted")
 	}
-	// A forged oversized header must be rejected before allocation, on
-	// both framings.
-	v1ch := &Channel{version: protocolV1, rw: rwShim{bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}), io.Discard}}
-	if _, err := v1ch.Recv(); err == nil {
-		t.Fatal("oversized v1 header accepted")
-	}
-	v2ch := &Channel{version: protocolV2, rw: rwShim{bytes.NewReader([]byte{recordData, 0xFF, 0xFF, 0xFF, 0xFF}), io.Discard}}
-	if _, err := v2ch.Recv(); err == nil {
-		t.Fatal("oversized v2 header accepted")
+	// A forged oversized header must be rejected before allocation.
+	ch := &Channel{rw: rwShim{bytes.NewReader([]byte{recordData, 0xFF, 0xFF, 0xFF, 0xFF}), io.Discard}}
+	if _, err := ch.Recv(); err == nil {
+		t.Fatal("oversized header accepted")
 	}
 }
 

@@ -211,14 +211,14 @@ func (ct *connTrace) span(p obs.Phase, start time.Time, err error) {
 
 // Server is a multi-tenant sharded secure-channel endpoint: it holds one
 // Scheme and long-term key pair per registered parameter set and serves
-// v2 (negotiated, resumable) and v1 (legacy tagged) clients of any of
-// them. Serving is split into N shards — with SO_REUSEPORT, N kernel-fed
-// accept loops; otherwise one accept loop round-robining into N
-// dispatchers — each owning a private workspace, a decapsulation batcher
-// that fans accept bursts through DecapsulateBatch, and its own slice of
-// every metric's per-shard slots, merged lock-free by Stats and scrapes.
+// negotiating, resumable clients of any of them. Serving is split into N
+// shards — with SO_REUSEPORT, N kernel-fed accept loops; otherwise one
+// accept loop round-robining into N dispatchers — each owning a private
+// workspace, a decapsulation batcher that fans accept bursts through
+// DecapsulateBatch, and its own slice of every metric's per-shard slots,
+// merged lock-free by Stats and scrapes.
 //
-// Completed v2 handshakes can mint encrypted session-resumption tickets
+// Completed handshakes can mint encrypted session-resumption tickets
 // (AES-GCM under a rotating server key, see internal/ticket); a
 // reconnecting client that presents one skips the KEM flight entirely,
 // with a sharded anti-replay cache keeping tickets single-use.
@@ -437,7 +437,7 @@ func (s *Server) AddParams(p *ringlwe.Params, opts ...ringlwe.Option) error {
 	return s.AddTenant(scheme, pk, sk)
 }
 
-// tenantByID resolves a v2 hello's parameter-set ID (0 = default tenant).
+// tenantByID resolves a hello's parameter-set ID (0 = default tenant).
 func (s *Server) tenantByID(id uint16) *tenant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -445,18 +445,6 @@ func (s *Server) tenantByID(id uint16) *tenant {
 		id = s.defaultID
 	}
 	return s.tenants[id]
-}
-
-// tenantByLegacyTag resolves a v1 hello's one-byte parameter tag.
-func (s *Server) tenantByLegacyTag(tag byte) *tenant {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, t := range s.tenants {
-		if legacyParamTag(t.scheme.Params()) == tag {
-			return t
-		}
-	}
-	return nil
 }
 
 // decapsulate runs one handshake decapsulation. Inside the serving loops
@@ -500,23 +488,27 @@ func (s *Server) issueTicket(rw io.Writer, sh *shard, ct *connTrace, t *tenant, 
 }
 
 // Handshake performs the responder side of one handshake over any
-// reliable byte stream, auto-detecting the protocol generation from the
-// first flight and dispatching to the tenant the client names. It is the
-// seam the serving loops drive per connection, exported so channels can
-// be established over in-memory pipes and custom transports (without a
-// shard, decapsulations run on pooled workspaces directly).
+// reliable byte stream, dispatching to the tenant the client's hello
+// names. It is the seam the serving loops drive per connection, exported
+// so channels can be established over in-memory pipes and custom
+// transports (without a shard, decapsulations run on pooled workspaces
+// directly).
 func (s *Server) Handshake(rw io.ReadWriter) (*Channel, error) {
 	ch, _, err := s.handshake(rw, nil)
 	return ch, err
 }
 
 // handshake implements Handshake, also returning the tenant for the
-// serving layer's accounting.
+// serving layer's accounting. It reads the hello's four-byte prefix
+// first, so a first flight that is not a v2 hello fails at once rather
+// than waiting for bytes its sender will never send; then it resolves the
+// tenant by the requested parameter-set ID and runs either the resumption
+// path (the hello carries a ticket) or the full KEM flight.
 func (s *Server) handshake(rw io.ReadWriter, sh *shard) (*Channel, *tenant, error) {
 	ct := newConnTrace(s.tracer)
 	t0 := ct.start()
-	var hello [helloV1Len]byte
-	if _, err := io.ReadFull(rw, hello[:]); err != nil {
+	var hello [helloV2Len]byte
+	if _, err := io.ReadFull(rw, hello[:helloPrefix]); err != nil {
 		s.sm.rejected.Inc(shardIndex(sh))
 		err = fmt.Errorf("protocol: hello: %w", err)
 		ct.span(obs.PhaseHello, t0, err)
@@ -529,32 +521,23 @@ func (s *Server) handshake(rw io.ReadWriter, sh *shard) (*Channel, *tenant, erro
 		return nil, nil, err
 	}
 	ct.span(obs.PhaseHello, t0, nil)
-	if hello[2] == helloV2Marker {
-		return s.handshakeV2(rw, sh, ct, hello)
-	}
-	return s.handshakeV1(rw, sh, ct, hello)
-}
 
-// handshakeV2 answers a negotiated hello: resolve the tenant by the
-// requested parameter-set ID and run either the resumption path (the
-// hello carries a ticket) or the full KEM flight.
-func (s *Server) handshakeV2(rw io.ReadWriter, sh *shard, ct *connTrace, hello [helloV1Len]byte) (*Channel, *tenant, error) {
-	t0 := ct.start()
-	if hello[3] != protocolV2 {
+	t0 = ct.start()
+	if hello[2] != helloV2Marker || hello[3] != protocolV2 {
 		s.sm.rejected.Inc(shardIndex(sh))
-		err := fmt.Errorf("%w: unsupported protocol version %d", errBadHello, hello[3])
+		err := fmt.Errorf("%w: marker %#x, version %d; only version-2 hellos are served",
+			errBadHello, hello[2], hello[3])
 		ct.span(obs.PhaseNegotiate, t0, err)
 		return nil, nil, err
 	}
-	var rest [helloV2Len - helloV1Len]byte
-	if _, err := io.ReadFull(rw, rest[:]); err != nil {
+	if _, err := io.ReadFull(rw, hello[helloPrefix:]); err != nil {
 		s.sm.rejected.Inc(shardIndex(sh))
 		err = fmt.Errorf("protocol: hello: %w", err)
 		ct.span(obs.PhaseNegotiate, t0, err)
 		return nil, nil, err
 	}
-	id := binary.BigEndian.Uint16(rest[:2])
-	flags := rest[2]
+	id := binary.BigEndian.Uint16(hello[4:6])
+	flags := hello[6]
 	if flags&helloFlagResume != 0 {
 		ct.span(obs.PhaseNegotiate, t0, nil)
 		return s.handshakeResume(rw, sh, ct, id)
@@ -573,7 +556,7 @@ func (s *Server) handshakeV2(rw io.ReadWriter, sh *shard, ct *connTrace, hello [
 	return s.serverKEMFlight(rw, sh, ct, t, statusOK, flags&helloFlagTicket != 0)
 }
 
-// serverKEMFlight runs the responder's full v2 flight against a resolved
+// serverKEMFlight runs the responder's full KEM flight against a resolved
 // tenant, wrapped in one KEM-flight span: first status byte (statusOK,
 // or statusFallback when downgrading a refused resumption), the streamed
 // public key, the decapsulation loop, and — when the client asked for
@@ -646,7 +629,6 @@ func (s *Server) newServerChannel(rw io.ReadWriter, sh *shard, ct *connTrace, t 
 	m, idx := t.m, shardIndex(sh)
 	return &Channel{
 		rw:      rw,
-		version: protocolV2,
 		scheme:  t.scheme,
 		localSK: t.sk,
 		onRekey: func() { m.rekeys.Inc(idx) },
@@ -745,61 +727,6 @@ func (s *Server) resumeChannel(rw io.ReadWriter, sh *shard, ct *connTrace, t *te
 	shared := resumedShared(t.scheme.Params().Name(), st.Epoch, st.Secret, clientRand, serverRand)
 	ch.deriveKeysV2(shared, 0, false)
 	return ch, t, nil
-}
-
-// handshakeV1 answers a legacy tagged hello exactly as the original
-// single-tenant server did, dispatching on the one-byte tag.
-func (s *Server) handshakeV1(rw io.ReadWriter, sh *shard, ct *connTrace, hello [helloV1Len]byte) (*Channel, *tenant, error) {
-	if hello[3] != 0 {
-		s.sm.rejected.Inc(shardIndex(sh))
-		return nil, nil, fmt.Errorf("%w: malformed v1 hello", errBadHello)
-	}
-	t := s.tenantByLegacyTag(hello[2])
-	if t == nil {
-		s.sm.rejected.Inc(shardIndex(sh))
-		return nil, nil, fmt.Errorf("protocol: no tenant serves v1 parameter tag %d: %w", hello[2], ringlwe.ErrParamsMismatch)
-	}
-	t0 := ct.start()
-	ch, tn, err := s.v1KEMFlight(rw, sh, ct, t)
-	ct.span(obs.PhaseKEMFlight, t0, err)
-	return ch, tn, err
-}
-
-func (s *Server) v1KEMFlight(rw io.ReadWriter, sh *shard, ct *connTrace, t *tenant) (*Channel, *tenant, error) {
-	params := t.scheme.Params()
-	if _, err := rw.Write(t.pk.Bytes()); err != nil {
-		return nil, t, fmt.Errorf("protocol: sending public key: %w", err)
-	}
-
-	// The v1 encapsulation flight is a bare blob; the negotiated set
-	// bounds the read exactly.
-	blob := make([]byte, params.EncapsulationSize())
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if _, err := io.ReadFull(rw, blob); err != nil {
-			return nil, t, fmt.Errorf("protocol: reading encapsulation: %w", err)
-		}
-		key, err := s.decapsulate(sh, t, ringlwe.EncapsulatedKey(blob))
-		if errors.Is(err, ringlwe.ErrDecapsulation) {
-			t.m.retries.Inc(shardIndex(sh))
-			if _, werr := rw.Write([]byte{statusRetry}); werr != nil {
-				return nil, t, fmt.Errorf("protocol: sending retry: %w", werr)
-			}
-			continue
-		}
-		if err != nil {
-			return nil, t, fmt.Errorf("protocol: decapsulate: %w", err)
-		}
-		if _, err := rw.Write([]byte{statusOK}); err != nil {
-			return nil, t, fmt.Errorf("protocol: sending ok: %w", err)
-		}
-		ch := s.newServerChannel(rw, sh, ct, t, pathFull)
-		ch.version = protocolV1
-		ch.onRekey = nil // v1 channels cannot rekey
-		ch.Retries = attempt
-		ch.deriveKeys(key, false)
-		return ch, t, nil
-	}
-	return nil, t, errTooManyRetries
 }
 
 // startLoops launches the per-shard dispatcher and decapsulation-batcher

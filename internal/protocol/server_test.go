@@ -50,7 +50,7 @@ func echoHandler(ch *Channel) {
 // TestServerMixedParamsConcurrent is the acceptance-criteria test: one
 // Server on one port completes concurrent handshakes with P1 clients, P2
 // clients (both negotiated from the self-describing public-key header)
-// and legacy v1-tag clients, with traffic flowing on every channel. Run
+// and ClientAuto clients, with traffic flowing on every channel. Run
 // under -race in CI.
 func TestServerMixedParamsConcurrent(t *testing.T) {
 	srv := newTestServer(t, ringlwe.P1(), ringlwe.P2())
@@ -69,9 +69,6 @@ func TestServerMixedParamsConcurrent(t *testing.T) {
 		{"P2v2", func(c net.Conn) (*Channel, error) {
 			return Client(c, ringlwe.NewDeterministic(ringlwe.P2(), 6002))
 		}, "P2"},
-		{"P1v1", func(c net.Conn) (*Channel, error) {
-			return ClientV1(c, ringlwe.NewDeterministic(ringlwe.P1(), 6003))
-		}, "P1"},
 		{"auto", func(c net.Conn) (*Channel, error) {
 			return ClientAuto(c)
 		}, "P1"},
@@ -127,9 +124,9 @@ func TestServerMixedParamsConcurrent(t *testing.T) {
 	stop()
 
 	st := srv.Stats()
-	// P1v2 + P1v1 + auto hit P1; P2v2 hits P2.
-	if got := st.PerParams["P1"].Handshakes; got != 3*perFlavor {
-		t.Errorf("P1 handshakes %d, want %d", got, 3*perFlavor)
+	// P1v2 + auto hit P1; P2v2 hits P2.
+	if got := st.PerParams["P1"].Handshakes; got != 2*perFlavor {
+		t.Errorf("P1 handshakes %d, want %d", got, 2*perFlavor)
 	}
 	if got := st.PerParams["P2"].Handshakes; got != perFlavor {
 		t.Errorf("P2 handshakes %d, want %d", got, perFlavor)
